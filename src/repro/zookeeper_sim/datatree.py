@@ -4,11 +4,21 @@ A simplified version of ZooKeeper's hierarchical namespace: znodes store a
 data blob and children; ``create`` supports the *sequential* flag that
 appends a zero-padded, monotonically increasing counter to the requested
 name — the primitive the distributed-queue recipe is built on.
+
+Each znode keeps its child names in a sorted list (``order``) beside the
+name-keyed ``children`` dict.  Sequential names always sort last, so a queue
+append is a list append; any other create is a ``bisect.insort`` and a delete
+a ``bisect_left``.  Reading the queue head therefore needs no sort: a
+server-side dequeue (:meth:`DataTree.pop_first_child`) and its CZK
+preliminary simulation (:meth:`DataTree.first_child_except`) cost
+O(log stock + in-flight) comparisons, not a sort and scan of the whole stock
+(closing the gap a removal leaves in ``order`` is one pointer memmove).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from bisect import bisect_left, insort
+from typing import AbstractSet, Any, Dict, List, Optional, Tuple
 
 #: Memoized ``path -> components`` (every server resolves the same queue and
 #: parent paths over and over; splitting is on the commit hot path).
@@ -27,12 +37,15 @@ class NodeExistsError(ValueError):
 class Znode:
     """One node in the tree."""
 
-    __slots__ = ("name", "data", "children", "next_sequence", "version")
+    __slots__ = ("name", "data", "children", "order", "next_sequence",
+                 "version")
 
     def __init__(self, name: str, data: Any = None) -> None:
         self.name = name
         self.data = data
         self.children: Dict[str, "Znode"] = {}
+        #: The keys of ``children`` in sorted order (maintained by DataTree).
+        self.order: List[str] = []
         self.next_sequence = 0
         self.version = 0
 
@@ -98,6 +111,11 @@ class DataTree:
         if name in parent.children:
             raise NodeExistsError(f"{parent_path.rstrip('/')}/{name}")
         parent.children[name] = Znode(name, data)
+        order = parent.order
+        if not order or name > order[-1]:
+            order.append(name)
+        else:
+            insort(order, name)
         parent.version += 1
         created = (parent_path.rstrip("/") or "") + "/" + name
         return created
@@ -114,6 +132,8 @@ class DataTree:
         if parent.children[name].children:
             raise ValueError(f"znode {path!r} has children")
         del parent.children[name]
+        order = parent.order
+        del order[bisect_left(order, name)]
         parent.version += 1
 
     def get(self, path: str) -> Any:
@@ -127,10 +147,53 @@ class DataTree:
 
     def get_children(self, path: str) -> List[str]:
         """Sorted child names of ``path`` (sorted order drives queue FIFO)."""
-        return sorted(self._lookup(path).children.keys())
+        return list(self._lookup(path).order)
 
     def child_count(self, path: str) -> int:
         return len(self._lookup(path).children)
+
+    def pop_first_child(self, path: str) -> Optional[Tuple[str, Any, int]]:
+        """Delete the lowest-named child of ``path`` (the queue head).
+
+        Returns ``(name, data, remaining)``, where ``remaining`` counts the
+        children left after the removal, or ``None`` when ``path`` has no
+        children.  A head that has children of its own is left in place and
+        raises ``ValueError``, as :meth:`delete` would.
+        """
+        node = self._lookup(path)
+        order = node.order
+        if not order:
+            return None
+        name = order[0]
+        head = node.children[name]
+        if head.children:
+            head_path = f"{path}/{name}"
+            raise ValueError(f"znode {head_path!r} has children")
+        del order[0]
+        del node.children[name]
+        node.version += 1
+        return name, head.data, len(order)
+
+    def first_child_except(self, path: str, removed: AbstractSet[str]
+                           ) -> Optional[Tuple[str, Any, int]]:
+        """The lowest-named child of ``path`` not listed in ``removed``.
+
+        ``removed`` holds full paths (``f"{path}/{name}"``); entries that are
+        not children of ``path`` are ignored.  Returns ``(name, data,
+        remaining)``, where ``remaining`` counts the other unlisted children,
+        or ``None`` when every child is listed.  Costs O(len(removed)): the
+        walk from the front of ``order`` passes only listed children.
+        """
+        node = self._lookup(path)
+        children = node.children
+        prefix = path + "/"
+        cut = len(prefix)
+        hidden = sum(1 for entry in removed
+                     if entry.startswith(prefix) and entry[cut:] in children)
+        for name in node.order:
+            if prefix + name not in removed:
+                return name, children[name].data, len(children) - hidden - 1
+        return None
 
     # -- state transfer ------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -154,6 +217,7 @@ class DataTree:
             node.version = payload["version"]
             node.children = {child_name: _load(child_name, child)
                              for child_name, child in payload["children"].items()}
+            node.order = sorted(node.children)
             return node
 
         self._root = _load("/", snapshot)

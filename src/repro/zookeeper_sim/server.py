@@ -21,7 +21,11 @@ returned immediately as ``zk_preliminary`` before the transaction enters Zab.
 Simulations of concurrent requests on the same server observe each other's
 tentative effects (e.g. two retailers simulating a dequeue obtain different
 tickets), mirroring what applying the operations to a copy of the local
-state would do.
+state would do.  Neither side sorts or scans the queue: the data tree keeps
+each znode's children sorted, so applying a dequeue pops the head and
+simulating one walks past only tentatively removed children — each costs
+O(log stock + in-flight), matching the paper's "single constant-size
+transaction" rather than growing with the stock left.
 
 Failure detection and leader election (enabled by
 ``config.heartbeat_interval_ms > 0`` plus
@@ -568,18 +572,15 @@ class ZKServer(Node):
             return {"name": f"item-{position:010d}", "position": position}
         if op == "dequeue":
             try:
-                children = self.tree.get_children(path)
+                head = self.tree.first_child_except(
+                    path, self._simulated_removed)
             except NoNodeError:
-                children = []
-            available = [c for c in children
-                         if f"{path}/{c}" not in self._simulated_removed]
-            if not available:
+                head = None
+            if head is None:
                 return {"item": None, "name": None, "remaining": 0}
-            head = available[0]
-            self._simulated_removed.add(f"{path}/{head}")
-            return {"item": self.tree.get(f"{path}/{head}"),
-                    "name": head,
-                    "remaining": len(available) - 1}
+            name, data, remaining = head
+            self._simulated_removed.add(f"{path}/{name}")
+            return {"item": data, "name": name, "remaining": remaining}
         if op == "delete":
             self._simulated_removed.add(path)
             return {"deleted": path}
@@ -779,18 +780,16 @@ class ZKServer(Node):
                 self.tree.set(txn.path, txn.data)
                 return {"ok": True, "result": {"path": txn.path}}
             if txn.op == "dequeue":
-                children = self.tree.get_children(txn.path)
-                if not children:
+                head = self.tree.pop_first_child(txn.path)
+                if head is None:
                     return {"ok": True,
                             "result": {"item": None, "name": None,
                                        "remaining": 0}}
-                head = children[0]
-                data = self.tree.get(f"{txn.path}/{head}")
-                self.tree.delete(f"{txn.path}/{head}")
-                self._simulated_removed.discard(f"{txn.path}/{head}")
+                name, data, remaining = head
+                self._simulated_removed.discard(f"{txn.path}/{name}")
                 return {"ok": True,
-                        "result": {"item": data, "name": head,
-                                   "remaining": len(children) - 1}}
+                        "result": {"item": data, "name": name,
+                                   "remaining": remaining}}
             return {"ok": False, "error": f"unknown txn op {txn.op!r}"}
         except (NoNodeError, NodeExistsError, ValueError) as exc:
             return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}

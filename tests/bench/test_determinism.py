@@ -97,7 +97,8 @@ def figure_fingerprints(jobs: int = 1) -> Dict[str, str]:
     from repro.bench.cli import run_figure
 
     return {name: _sha([run_figure(name, quick=True, jobs=jobs)])
-            for name in ("fig06", "fig09", "fig14", "fig15", "fig16")}
+            for name in ("fig06", "fig09", "fig10", "fig12", "fig14",
+                         "fig15", "fig16")}
 
 
 def _golden() -> Dict:
@@ -297,7 +298,7 @@ class TestDeterminism:
     def test_fig13_slice_identical_with_switches_off(self):
         """A fault-injection slice is bit-identical without wheel/fast path.
 
-        The golden figure hashes only cover fig06/09/14/15/16; this pins
+        The golden figure hashes only cover fig06/09/10/12/14/15/16; this pins
         the fault family (replica crash + recovery, client failover,
         timeout cancellation storms) to the same record under the classic
         heap scheduler and the unfused message path.

@@ -6,6 +6,7 @@ from repro.sim.environment import SimEnvironment
 from repro.sim.topology import Region, Topology
 from repro.zookeeper_sim.cluster import ZooKeeperCluster
 from repro.zookeeper_sim.queue_recipe import DistributedQueue
+from repro.zookeeper_sim.server import ZKServer
 
 
 def _setup(leader=Region.IRL, followers=(Region.FRK, Region.VRG),
@@ -188,6 +189,109 @@ class TestCzkDequeue:
         _next()
         env.run_until_idle()
         assert drained == [f"item-{i}" for i in range(20)]
+
+
+def _scanned_children(tree, path):
+    """Sorted child names of ``path``, scanned off a full snapshot."""
+    node = tree.snapshot()
+    for part in (part for part in path.split("/") if part):
+        node = node["children"][part]
+    return sorted(node["children"])
+
+
+def _reference_simulate_dequeue(server, path):
+    """The O(stock) preliminary dequeue: sort every child, drop the
+    tentatively removed ones, take the first."""
+    try:
+        children = _scanned_children(server.tree, path)
+    except KeyError:
+        children = []
+    available = [c for c in children
+                 if f"{path}/{c}" not in server._simulated_removed]
+    if not available:
+        return {"item": None, "name": None, "remaining": 0}
+    head = available[0]
+    return {"item": server.tree.get(f"{path}/{head}"), "name": head,
+            "remaining": len(available) - 1}
+
+
+def _reference_apply_dequeue(server, path):
+    """The O(stock) committed dequeue: sort every child, pop the first."""
+    children = _scanned_children(server.tree, path)
+    if not children:
+        return {"ok": True,
+                "result": {"item": None, "name": None, "remaining": 0}}
+    head = children[0]
+    return {"ok": True,
+            "result": {"item": server.tree.get(f"{path}/{head}"),
+                       "name": head, "remaining": len(children) - 1}}
+
+
+class TestCzkDequeueMatchesScanReference:
+    def test_interleaved_icg_dequeues_match_reference(self, monkeypatch):
+        """Every preliminary and final dequeue result equals the scan.
+
+        Three clients per server drain the queue with ICG dequeues while
+        stale entries sit in a simulation overlay: a simulated delete of a
+        missing item that a later enqueue brings to life (the simulation
+        must keep skipping it), plus deletes outside the queue.  Each
+        ``_simulate`` and ``_apply`` dequeue is checked against the
+        reference computed on the same state just before it runs.
+        """
+        simulate, apply = ZKServer._simulate, ZKServer._apply
+        checked = {"preliminary": 0, "final": 0, "stale_live_skipped": 0}
+        stale = "/queue/item-0000000031"
+
+        def _checked_simulate(server, payload):
+            if payload["op"] != "dequeue":
+                return simulate(server, payload)
+            expected = _reference_simulate_dequeue(server, payload["path"])
+            if (stale in server._simulated_removed
+                    and server.tree.exists(stale)):
+                checked["stale_live_skipped"] += 1
+            result = simulate(server, payload)
+            assert result == expected
+            checked["preliminary"] += 1
+            return result
+
+        def _checked_apply(server, txn):
+            if txn.op != "dequeue":
+                return apply(server, txn)
+            expected = _reference_apply_dequeue(server, txn.path)
+            result = apply(server, txn)
+            assert result == expected
+            checked["final"] += 1
+            return result
+
+        monkeypatch.setattr(ZKServer, "_simulate", _checked_simulate)
+        monkeypatch.setattr(ZKServer, "_apply", _checked_apply)
+        env, cluster = _setup(queue_items=30)
+        regions = (Region.IRL, Region.FRK, Region.VRG)
+        clients = [cluster.add_client(f"c{region}{i}", region, region)
+                   for region in regions for i in range(3)]
+        frk = cluster.add_client("stale", Region.FRK, Region.FRK)
+        for path in (stale, "/elsewhere/item-0000000000", "/queue"):
+            frk.submit("delete", path, icg=True)
+        got = []
+
+        def _drain(client):
+            def _done(resp):
+                if resp["result"]["item"] is not None:
+                    got.append(resp["result"]["item"])
+                    client.dequeue("/queue", icg=True, on_final=_done)
+
+            client.dequeue("/queue", icg=True, on_final=_done)
+
+        for client in clients:
+            _drain(client)
+        for i in range(4):
+            env.scheduler.schedule(30.0, frk.enqueue, "/queue", f"late-{i}")
+        env.run_until_idle()
+        assert sorted(got) == sorted([f"item-{i}" for i in range(30)]
+                                     + [f"late-{i}" for i in range(4)])
+        assert checked["preliminary"] == len(got) + len(clients)
+        assert checked["final"] == 3 * checked["preliminary"]
+        assert checked["stale_live_skipped"] > 0
 
 
 class TestQueueRecipe:
