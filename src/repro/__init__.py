@@ -11,8 +11,8 @@ applications need:
 * the discrete-event simulation substrate and the YCSB-style workloads used
   by the benchmark harnesses in :mod:`repro.bench`.
 
-See ``README.md`` for a quickstart and ``DESIGN.md`` for the full system
-inventory.
+See ``README.md`` for a quickstart and the system overview, and
+``EXPERIMENTS.md`` for how each figure and experiment is regenerated.
 """
 
 from repro.core import (

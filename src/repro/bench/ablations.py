@@ -1,4 +1,4 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies for design choices in the paper's applications.
 
 * :func:`run_ticket_threshold_ablation` — how the ticket shop's "wait for the
   final view below N remaining tickets" threshold trades purchase latency

@@ -32,7 +32,6 @@ enabled, replaces an identical final response with a small confirmation.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -681,8 +680,7 @@ class CassandraReplica(Node):
                 (rec, f"coordinator {self.name} left the ring"))
             return
         self.reads_coordinated += 1
-        # Node._enqueue, inlined: service charge plus scheduler insert with
-        # no intermediate frames — this preamble runs once per fused read.
+        # Node._enqueue, inlined: this preamble runs once per fused read.
         cost = self.config.read_service_ms * self.slowdown_factor
         queue = self.queue
         scheduler = queue._scheduler
@@ -693,20 +691,8 @@ class CassandraReplica(Node):
         queue._busy_until = finish
         queue.jobs_processed += 1
         queue.busy_time += cost
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_coordinate_read, rec.args, None, None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        scheduler.schedule_call_at(finish, self._fused_coordinate_read,
+                                   rec.args)
 
     def _fused_coordinate_read(self, rec: FusedRead) -> None:
         key = rec.key
@@ -746,23 +732,8 @@ class CassandraReplica(Node):
                 queue._busy_until = finish
                 queue.jobs_processed += 1
                 queue.busy_time += cost
-                seq = scheduler._seq
-                scheduler._seq = seq + 1
-                scheduler._live += 1
-                entry = (finish, seq, self._fused_flush_preliminary,
-                         rec.args, None, None)
-                if finish < scheduler._horizon:
-                    tick = int(finish * scheduler._wheel_inv)
-                    if tick == scheduler._cursor:
-                        heapq.heappush(
-                            scheduler._slots[tick & scheduler._wheel_mask],
-                            entry)
-                    else:
-                        scheduler._slots[tick & scheduler._wheel_mask].append(
-                            entry)
-                        scheduler._wheel_count += 1
-                else:
-                    heapq.heappush(scheduler._heap, entry)
+                scheduler.schedule_call_at(
+                    finish, self._fused_flush_preliminary, rec.args)
         remote_needed = rec.r - rec.count
         if remote_needed > 0 and targets:
             if remote_needed < len(targets):
@@ -770,8 +741,7 @@ class CassandraReplica(Node):
             size = self._req_base
             # Network.fused_send, inlined per target minus its topology
             # recheck — the plan probe above synced topology in this very
-            # event, so the plan routes cannot be stale here.  A singleton
-            # entry consumes the same (time, seq) as a direct insert.
+            # event, so the plan routes cannot be stale here.
             net = network
             scheduler = net.scheduler
             clock = scheduler.clock
@@ -808,23 +778,8 @@ class CassandraReplica(Node):
                     delay = base
                 if net._link_extra_ms:
                     delay += net.link_extra_ms(src_node.name, dst_node.name)
-                seq = scheduler._seq
-                scheduler._seq = seq + 1
-                scheduler._live += 1
-                timestamp = clock._now + delay
-                entry = (timestamp, seq, read_req, rec.args, None, None)
-                if timestamp < scheduler._horizon:
-                    tick = int(timestamp * scheduler._wheel_inv)
-                    if tick == scheduler._cursor:
-                        heapq.heappush(
-                            scheduler._slots[tick & scheduler._wheel_mask],
-                            entry)
-                    else:
-                        scheduler._slots[tick & scheduler._wheel_mask].append(
-                            entry)
-                        scheduler._wheel_count += 1
-                else:
-                    heapq.heappush(scheduler._heap, entry)
+                scheduler.schedule_call_at(clock._now + delay, read_req,
+                                           rec.args)
         if rec.count >= rec.r and not rec.final_sent:
             self._fused_finish_read(rec)
 
@@ -877,20 +832,7 @@ class CassandraReplica(Node):
         queue._busy_until = finish
         queue.jobs_processed += 1
         queue.busy_time += cost
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_serve_read, rec.args, None, None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        scheduler.schedule_call_at(finish, self._fused_serve_read, rec.args)
 
     def _fused_serve_read(self, rec: FusedRead) -> None:
         config = self.config
@@ -1060,20 +1002,8 @@ class CassandraReplica(Node):
         queue._busy_until = finish
         queue.jobs_processed += 1
         queue.busy_time += cost
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_coordinate_write, rec.args, None, None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        scheduler.schedule_call_at(finish, self._fused_coordinate_write,
+                                   rec.args)
 
     def _fused_coordinate_write(self, rec: FusedWrite) -> None:
         key = rec.key
@@ -1143,23 +1073,8 @@ class CassandraReplica(Node):
                     delay = base
                 if net._link_extra_ms:
                     delay += net.link_extra_ms(src_node.name, dst_node.name)
-                seq = scheduler._seq
-                scheduler._seq = seq + 1
-                scheduler._live += 1
-                timestamp = clock._now + delay
-                entry = (timestamp, seq, write_req, (rec, True), None, None)
-                if timestamp < scheduler._horizon:
-                    tick = int(timestamp * scheduler._wheel_inv)
-                    if tick == scheduler._cursor:
-                        heapq.heappush(
-                            scheduler._slots[tick & scheduler._wheel_mask],
-                            entry)
-                    else:
-                        scheduler._slots[tick & scheduler._wheel_mask].append(
-                            entry)
-                        scheduler._wheel_count += 1
-                else:
-                    heapq.heappush(scheduler._heap, entry)
+                scheduler.schedule_call_at(clock._now + delay, write_req,
+                                           (rec, True))
                 acks_expected += 1
         rec.acks_expected = acks_expected
         pending = self.partitioner.pending_replicas_for(key)
@@ -1192,20 +1107,7 @@ class CassandraReplica(Node):
         queue._busy_until = finish
         queue.jobs_processed += 1
         queue.busy_time += cost
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        entry = (finish, seq, self._fused_apply_write, (rec, ack), None, None)
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask], entry)
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(entry)
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap, entry)
+        scheduler.schedule_call_at(finish, self._fused_apply_write, (rec, ack))
 
     def _fused_apply_write(self, rec: FusedWrite, ack: bool) -> None:
         coordinator = rec.coordinator

@@ -19,9 +19,9 @@ The send path is written for throughput:
 * delivered :class:`Message` objects are recycled through a free-list pool
   guarded by a refcount check, so steady-state traffic allocates no message
   objects at all (see :meth:`Network.pool_stats`);
-* :meth:`Network.send_many` fans a burst out of one node and coalesces
-  same-instant deliveries into one batched heap entry
-  (:meth:`~repro.sim.scheduler.Scheduler.schedule_batch_at`).
+* :meth:`Network.send_many` fans a burst out of one node (a quorum
+  read's or a write's replica fan-out); each delivery is its own scheduler
+  entry.
 
 The *fused* protocol fast path (:attr:`Network.fast_path`, default on) goes
 one step further: protocol layers that carry their own per-operation state
@@ -38,7 +38,6 @@ dead-destination drop) is the receiving continuation's responsibility.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import sys
 from dataclasses import dataclass
@@ -234,8 +233,7 @@ class Network:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
-        #: Kill-switch for the fused protocol fast path (mirrors
-        #: ``Scheduler.wheel`` / ``batch_dispatch``).  Protocol layers check
+        #: Kill-switch for the fused protocol fast path.  Protocol layers check
         #: it when an operation is *issued*; in-flight fused operations
         #: complete fused after a flip.
         self.fast_path = True
@@ -482,31 +480,20 @@ class Network:
         """Fan a burst of ``(dst, kind, payload, size_bytes)`` out of ``src``.
 
         Equivalent to calling :meth:`send` once per tuple in order — same
-        jitter draws, message ids and accounting — but consecutive
-        deliveries landing at the same instant go to the scheduler as one
-        batched heap entry.  The multi-replica fan-outs (quorum reads, write
-        replication) send through this.
+        jitter draws, message ids, accounting and delivery entries.  The
+        multi-replica fan-outs (quorum reads, write replication) send
+        through this.
         """
-        scheduler = self.scheduler
+        schedule_call_at = self.scheduler.schedule_call_at
         now = self._clock._now
         deliver = self._deliver
         messages: List[Message] = []
-        batch: list = []
-        batch_time = 0.0
         for dst, kind, payload, size_bytes in sends:
             delay, message, dst_node = self._prepare(src, dst, kind, payload,
                                                      size_bytes)
             messages.append(message)
-            if delay is None:
-                continue
-            at = now + delay
-            if batch and at != batch_time:
-                scheduler.schedule_batch_at(batch_time, batch)
-                batch = []
-            batch_time = at
-            batch.append((deliver, (message, dst_node)))
-        if batch:
-            scheduler.schedule_batch_at(batch_time, batch)
+            if delay is not None:
+                schedule_call_at(now + delay, deliver, (message, dst_node))
         return messages
 
     def _deliver(self, message: Message, node: "Node") -> None:
@@ -623,10 +610,10 @@ class Network:
         the destination is alive, ``messages_dropped`` when it is not.
         Returns ``False`` when the send was dropped (nothing scheduled).
 
-        :meth:`fused_account` and the scheduler insert are inlined — this
-        runs once per protocol hop, and the two extra call frames are
-        measurable at full fig06 scale.  Keep the accounting sequence
-        bit-identical to :meth:`_prepare` / :meth:`fused_account`.
+        :meth:`fused_account` is inlined — this runs once per protocol hop,
+        and the extra call frame is measurable at full fig06 scale.  Keep the
+        accounting sequence bit-identical to :meth:`_prepare` /
+        :meth:`fused_account`.
         """
         if self.topology._version != self._topo_version:
             self._sync_topology()
@@ -661,25 +648,8 @@ class Network:
             delay = base
         if self._link_extra_ms:
             delay += self.link_extra_ms(src_node.name, dst_node.name)
-        # Scheduler.schedule_call, inlined (delay is >= 0 by construction).
         scheduler = self.scheduler
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        timestamp = scheduler.clock._now + delay
-        if timestamp < scheduler._horizon:
-            tick = int(timestamp * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask],
-                    (timestamp, seq, fn, args, None, None))
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (timestamp, seq, fn, args, None, None))
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap,
-                           (timestamp, seq, fn, args, None, None))
+        scheduler.schedule_call_at(scheduler.clock._now + delay, fn, args)
         return True
 
     def fused_send_to(self, src: Any, dst: str, size_bytes: int,
@@ -735,25 +705,8 @@ class Network:
             delay = base
         if self._link_extra_ms:
             delay += self.link_extra_ms(src_node.name, dst_node.name)
-        # Scheduler.schedule_call, inlined (delay is >= 0 by construction).
         scheduler = self.scheduler
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        timestamp = scheduler.clock._now + delay
-        if timestamp < scheduler._horizon:
-            tick = int(timestamp * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(
-                    scheduler._slots[tick & scheduler._wheel_mask],
-                    (timestamp, seq, fn, args, None, None))
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (timestamp, seq, fn, args, None, None))
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap,
-                           (timestamp, seq, fn, args, None, None))
+        scheduler.schedule_call_at(scheduler.clock._now + delay, fn, args)
         return True
 
     # -- accounting --------------------------------------------------------

@@ -10,7 +10,6 @@ which is what produces the latency-vs-throughput curves in Figures 6 and 11.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Callable, Optional
 
 from repro.sim.network import Message, Network
@@ -184,12 +183,7 @@ class Node:
 
     def _enqueue(self, service_time_ms: float, fn: Callable[..., Any],
                  args: tuple) -> None:
-        """Fused-path :meth:`process`: no kwargs, no finish-time return.
-
-        The scheduler insert is inlined too (``finish >= now`` holds by
-        construction, so the past-check is redundant here) — queue jobs are
-        one of the two dominant event classes.
-        """
+        """Fused-path :meth:`process`: no kwargs, no finish-time return."""
         cost = service_time_ms * self.slowdown_factor
         queue = self.queue
         scheduler = queue._scheduler
@@ -200,21 +194,7 @@ class Node:
         queue._busy_until = finish
         queue.jobs_processed += 1
         queue.busy_time += cost
-        seq = scheduler._seq
-        scheduler._seq = seq + 1
-        scheduler._live += 1
-        if finish < scheduler._horizon:
-            tick = int(finish * scheduler._wheel_inv)
-            if tick == scheduler._cursor:
-                heapq.heappush(scheduler._slots[tick & scheduler._wheel_mask],
-                               (finish, seq, fn, args, None, None))
-            else:
-                scheduler._slots[tick & scheduler._wheel_mask].append(
-                    (finish, seq, fn, args, None, None))
-                scheduler._wheel_count += 1
-        else:
-            heapq.heappush(scheduler._heap,
-                           (finish, seq, fn, args, None, None))
+        scheduler.schedule_call_at(finish, fn, args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, region={self.region!r})"

@@ -4,10 +4,10 @@ Events are callbacks ordered by (time, sequence-number).  The sequence number
 makes execution order deterministic for events scheduled at the same instant,
 which in turn makes every experiment in :mod:`repro.bench` reproducible.
 
-Entries are plain ``(time, seq, fn, args, kwargs, marker)`` tuples so
-ordering is decided by C-level tuple comparison on the first two fields
-(``seq`` is unique, so nothing beyond it is ever compared).  Three write
-paths feed the queue:
+The queue is one binary heap of plain ``(time, seq, fn, args, kwargs,
+marker)`` tuples, so ordering is decided by C-level tuple comparison on the
+first two fields (``seq`` is unique, so nothing beyond it is ever compared).
+Two write paths feed it:
 
 * :meth:`Scheduler.schedule` / :meth:`Scheduler.schedule_at` return an
   :class:`Event` handle (stored in the marker slot) so callers can cancel
@@ -15,33 +15,7 @@ paths feed the queue:
 * :meth:`Scheduler.schedule_call` / :meth:`Scheduler.schedule_call_at` are
   the fire-and-forget fast path — no handle, no kwargs mapping, and no
   per-event object allocation.  Message deliveries and processing-queue
-  jobs (the dominant event classes) use it;
-* :meth:`Scheduler.schedule_batch_at` coalesces same-timestamp callbacks
-  (a coordinator's multi-replica fan-out) into **one** queue entry holding
-  the whole batch, drained in order by :meth:`run`.  The batch occupies
-  consecutive sequence numbers, each callback still executes — and is
-  traced — as its own event, so execution order, event counts, and golden
-  ``(time, seq)`` traces are identical to individual pushes; only the
-  queue traffic is amortized.
-
-Storage is a **timing wheel** (calendar queue) over a binary heap:
-
-* Events due within the wheel's horizon (``wheel_slots * wheel_width_ms``
-  of simulated time) go into per-tick slot lists — an O(1) append instead
-  of an O(log n) heap sift.  A slot is sorted once, when the wheel cursor
-  reaches its tick; because ``(time, seq)`` entries are compared exactly
-  as the heap would compare them, the drain order (and therefore every
-  golden event trace) is bit-identical to the heap's.
-* Events beyond the horizon (long timeouts, run-end sentinels) go to an
-  **overflow heap** and migrate into the wheel lazily as the cursor's
-  horizon sweeps over their timestamps.
-* The cursor's own slot is kept heap-ordered at all times (activation
-  sorts it; same-tick inserts use ``heappush``), so scheduling into the
-  current tick during the drain preserves order.
-* ``scheduler.wheel = False`` is a kill-switch mirroring
-  ``batch_dispatch``: it dumps the wheel back into the heap and routes
-  every insert through the classic heap-only path.  The determinism suite
-  runs both ways to prove the traces match.
+  jobs (the dominant event classes) use it.
 
 Live-event accounting is incremental: scheduling increments a live counter,
 execution and cancellation decrement it, so ``pending(live_only=True)`` —
@@ -55,8 +29,8 @@ audit of the same invariant, used by the regression tests.
 from __future__ import annotations
 
 import gc
-import heapq
-from typing import Any, Callable, Optional, Sequence, Tuple
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, Optional
 
 from repro.sim.clock import Clock
 
@@ -64,21 +38,8 @@ from repro.sim.clock import Clock
 #: events are queued *and* they outnumber the live ones.
 _PURGE_THRESHOLD = 512
 
-#: Marker-slot sentinel distinguishing a batch entry from an Event handle.
-_BATCH = object()
-
-#: Sentinel returned by :meth:`Scheduler._next_active` when the next event
-#: lies beyond the run's ``until`` limit (the cursor is *not* advanced).
-_BEYOND = object()
-
 _INFINITY = float("inf")
 _NO_CAP = 1 << 62
-
-#: Default wheel geometry: 1024 slots of 1 ms give a 1.024 s horizon —
-#: service times, RTTs and protocol timeouts land in the wheel; run-end
-#: sentinels and multi-second timers take the overflow heap.
-_WHEEL_SLOTS = 1024
-_WHEEL_WIDTH_MS = 1.0
 
 
 class Event:
@@ -116,51 +77,20 @@ class Scheduler:
     """Discrete-event scheduler with a simulated :class:`Clock`."""
 
     __slots__ = ("clock", "_heap", "_seq", "_events_executed", "_cancelled",
-                 "_live", "_trace", "batch_dispatch", "_wheel_size",
-                 "_wheel_mask", "_wheel_width", "_wheel_inv", "_slots",
-                 "_wheel_count", "_cursor", "_wheel_enabled", "_horizon")
+                 "_live", "_trace")
 
-    def __init__(self, clock: Optional[Clock] = None,
-                 wheel_slots: int = _WHEEL_SLOTS,
-                 wheel_width_ms: float = _WHEEL_WIDTH_MS) -> None:
-        if wheel_slots <= 0 or wheel_slots & (wheel_slots - 1):
-            raise ValueError(
-                f"wheel_slots must be a power of two, got {wheel_slots}")
-        if wheel_width_ms <= 0:
-            raise ValueError(
-                f"wheel_width_ms must be positive, got {wheel_width_ms}")
+    # Removed switches, kept read-only because benchmark provenance reads them.
+    wheel = False
+    batch_dispatch = False
+
+    def __init__(self, clock: Optional[Clock] = None) -> None:
         self.clock = clock if clock is not None else Clock()
-        #: Overflow heap (sole store with the wheel off):
-        #: (time, seq, fn, args, kwargs|None, marker) tuples.
         self._heap: list = []
         self._seq = 0
         self._events_executed = 0
         self._cancelled = 0
         self._live = 0
         self._trace: Optional[list] = None
-        #: Test/debug switch: ``False`` makes :meth:`schedule_batch_at` push
-        #: individual entries instead of one batch entry.  Same sequence
-        #: numbers, same execution order, same traces — the determinism
-        #: tests run both ways to prove it.
-        self.batch_dispatch = True
-        # -- timing wheel ---------------------------------------------------
-        self._wheel_size = wheel_slots
-        self._wheel_mask = wheel_slots - 1
-        self._wheel_width = float(wheel_width_ms)
-        self._wheel_inv = 1.0 / float(wheel_width_ms)
-        #: Per-tick buckets.  Invariants: every stored entry's tick lies in
-        #: ``[cursor, cursor + wheel_slots)`` (so each bucket holds at most
-        #: one tick's entries at a time), and the cursor's own bucket is
-        #: always heap-ordered.
-        self._slots: list = [[] for _ in range(wheel_slots)]
-        #: Entries (not callbacks) currently stored in the wheel buckets.
-        self._wheel_count = 0
-        self._cursor = 0
-        self._wheel_enabled = True
-        #: Absolute time bound of the wheel window; inserts below it go to
-        #: a bucket, at or above it to the overflow heap.  ``-inf`` when the
-        #: wheel is off, so every insert falls through to the heap.
-        self._horizon = wheel_slots * self._wheel_width
 
     @property
     def events_executed(self) -> int:
@@ -177,45 +107,11 @@ class Scheduler:
         By default this counts cancelled-but-unpopped entries too (they
         still occupy queue slots); ``live_only=True`` reports only the events
         that will actually execute.  Both are O(1): the counters are
-        maintained incrementally by scheduling, cancellation, and execution
-        (batch entries count every callback they carry).
+        maintained incrementally by scheduling, cancellation, and execution.
         """
         if live_only:
             return self._live
         return self._live + self._cancelled
-
-    # -- wheel kill-switch -------------------------------------------------
-    @property
-    def wheel(self) -> bool:
-        """Whether the timing-wheel backend is active (default ``True``).
-
-        Assigning ``False`` migrates every bucketed entry back to the heap
-        and routes subsequent inserts through the classic heap-only path;
-        assigning ``True`` re-anchors the wheel at the current time (queued
-        entries migrate back lazily as the cursor sweeps).  Execution order
-        is identical either way — the determinism suite runs both.
-        """
-        return self._wheel_enabled
-
-    @wheel.setter
-    def wheel(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if enabled == self._wheel_enabled:
-            return
-        self._wheel_enabled = enabled
-        if not enabled:
-            heap = self._heap
-            for slot in self._slots:
-                if slot:
-                    heap.extend(slot)
-                    del slot[:]
-            heapq.heapify(heap)
-            self._wheel_count = 0
-            self._horizon = -_INFINITY
-        else:
-            self._cursor = int(self.clock._now * self._wheel_inv)
-            self._horizon = (self._cursor + self._wheel_size) \
-                * self._wheel_width
 
     # -- tracing (determinism fingerprints) --------------------------------
     def start_trace(self) -> list:
@@ -233,36 +129,12 @@ class Scheduler:
         self._trace = None
 
     # -- scheduling --------------------------------------------------------
-    def _insert(self, timestamp: float, entry: tuple) -> None:
-        """Store one entry: wheel bucket within the horizon, else heap.
-
-        ``_wheel_count`` tracks entries in *non-cursor* buckets only: the
-        cursor's own (heap-ordered) bucket is accounted by its truthiness
-        in the run loop, so draining it costs no counter updates.
-        """
-        if timestamp < self._horizon:
-            tick = int(timestamp * self._wheel_inv)
-            if tick == self._cursor:
-                heapq.heappush(self._slots[tick & self._wheel_mask], entry)
-            else:
-                self._slots[tick & self._wheel_mask].append(entry)
-                self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap, entry)
-
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any,
                  **kwargs: Any) -> Event:
         """Schedule ``fn(*args, **kwargs)`` to run ``delay`` ms from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        timestamp = self.clock._now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        event = Event(timestamp, seq, self)
-        self._insert(timestamp,
-                     (timestamp, seq, fn, args, kwargs or None, event))
-        return event
+        return self.schedule_at(self.clock._now + delay, fn, *args, **kwargs)
 
     def schedule_at(self, timestamp: float, fn: Callable[..., Any],
                     *args: Any, **kwargs: Any) -> Event:
@@ -275,8 +147,7 @@ class Scheduler:
         self._seq = seq + 1
         self._live += 1
         event = Event(timestamp, seq, self)
-        self._insert(timestamp,
-                     (timestamp, seq, fn, args, kwargs or None, event))
+        heappush(self._heap, (timestamp, seq, fn, args, kwargs or None, event))
         return event
 
     def schedule_call(self, delay: float, fn: Callable[..., Any],
@@ -289,21 +160,8 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        timestamp = self.clock._now + delay
-        # _insert, inlined: this and schedule_call_at are the two hottest
-        # write paths in the simulator.
-        if timestamp < self._horizon:
-            tick = int(timestamp * self._wheel_inv)
-            if tick == self._cursor:
-                heapq.heappush(self._slots[tick & self._wheel_mask],
-                               (timestamp, seq, fn, args, None, None))
-            else:
-                self._slots[tick & self._wheel_mask].append(
-                    (timestamp, seq, fn, args, None, None))
-                self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap,
-                           (timestamp, seq, fn, args, None, None))
+        heappush(self._heap,
+                 (self.clock._now + delay, seq, fn, args, None, None))
 
     def schedule_call_at(self, timestamp: float, fn: Callable[..., Any],
                          args: tuple = (),
@@ -316,50 +174,7 @@ class Scheduler:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        kwargs = kwargs or None
-        if timestamp < self._horizon:
-            tick = int(timestamp * self._wheel_inv)
-            if tick == self._cursor:
-                heapq.heappush(self._slots[tick & self._wheel_mask],
-                               (timestamp, seq, fn, args, kwargs, None))
-            else:
-                self._slots[tick & self._wheel_mask].append(
-                    (timestamp, seq, fn, args, kwargs, None))
-                self._wheel_count += 1
-        else:
-            heapq.heappush(self._heap,
-                           (timestamp, seq, fn, args, kwargs, None))
-
-    def schedule_batch_at(self, timestamp: float,
-                          calls: Sequence[Tuple[Callable[..., Any], tuple]]
-                          ) -> None:
-        """Fire-and-forget batch: every ``(fn, args)`` runs at ``timestamp``.
-
-        The batch takes consecutive sequence numbers in list order and is
-        stored as **one** queue entry; :meth:`run` drains it callback by
-        callback, tracing and counting each as its own event.  Equivalent to
-        ``schedule_call_at`` per call in every observable way (use it for
-        same-instant fan-outs, e.g. a write coordinator's replica
-        broadcast), but with a single push/pop for the whole group.
-        """
-        count = len(calls)
-        if count == 0:
-            return
-        if timestamp < self.clock._now:
-            raise ValueError(
-                f"cannot schedule in the past: {timestamp} < {self.now()}"
-            )
-        seq = self._seq
-        if count == 1 or not self.batch_dispatch:
-            for fn, args in calls:
-                self._insert(timestamp, (timestamp, seq, fn, args, None, None))
-                seq += 1
-        else:
-            self._insert(timestamp,
-                         (timestamp, seq, None, tuple(calls), None, _BATCH))
-            seq += count
-        self._seq = seq
-        self._live += count
+        heappush(self._heap, (timestamp, seq, fn, args, kwargs or None, None))
 
     def call_soon(self, fn: Callable[..., Any], *args: Any,
                   **kwargs: Any) -> Event:
@@ -373,166 +188,34 @@ class Scheduler:
         timeouts cannot grow it unboundedly."""
         self._live -= 1
         self._cancelled += 1
+        heap = self._heap
         if (self._cancelled >= _PURGE_THRESHOLD
-                and self._cancelled * 2 > len(self._heap) + self._wheel_count):
-            # In place: the run() loop holds references to these lists.
-            self._heap[:] = [entry for entry in self._heap
-                             if entry[5] is None or entry[5] is _BATCH
-                             or not entry[5].cancelled]
-            heapq.heapify(self._heap)
-            stored = 0
-            cursor_index = self._cursor & self._wheel_mask
-            for index, slot in enumerate(self._slots):
-                if not slot:
-                    continue
-                slot[:] = [entry for entry in slot
-                           if entry[5] is None or entry[5] is _BATCH
-                           or not entry[5].cancelled]
-                if index == cursor_index:
-                    # The cursor bucket stays heap-ordered and is excluded
-                    # from the non-cursor storage count.
-                    heapq.heapify(slot)
-                else:
-                    stored += len(slot)
-            self._wheel_count = stored
+                and self._cancelled * 2 > len(heap)):
+            # In place: the run() loop holds a reference to this list.
+            heap[:] = [entry for entry in heap
+                       if entry[5] is None or not entry[5].cancelled]
+            heapify(heap)
             self._cancelled = 0
 
     def _scan_live(self) -> int:
-        """O(n) audit of ``pending(live_only=True)``: walk the heap and every
-        wheel bucket, counting callbacks that will actually execute (batch
-        entries count each carried callback).  Test/debug only — the run
-        loops never call this."""
-
-        def _count(entries: list) -> int:
-            total = 0
-            for entry in entries:
-                marker = entry[5]
-                if marker is _BATCH:
-                    total += len(entry[3])
-                elif marker is None or not marker.cancelled:
-                    total += 1
-            return total
-
-        return _count(self._heap) + sum(
-            _count(slot) for slot in self._slots if slot)
-
-    # -- wheel cursor ------------------------------------------------------
-    def _next_active(self, limit: float):
-        """Advance the cursor to the next non-empty bucket and activate it.
-
-        Migrates due overflow entries into the wheel, finds the next tick
-        holding work, and sorts that bucket so it is a valid heap for the
-        drain loop.  Returns the activated bucket, ``None`` when no events
-        remain, or :data:`_BEYOND` — *without* advancing the cursor — when
-        the next event's tick starts after ``limit`` (so a stopped run
-        leaves the cursor at or before the clock, keeping the insert-path
-        invariant that new entries never land behind it).
-        """
-        heap = self._heap
-        slots = self._slots
-        mask = self._wheel_mask
-        inv = self._wheel_inv
-        cursor = self._cursor
-        horizon = self._horizon
-        heappop = heapq.heappop
-        # Overflow entries normally sit at or beyond the horizon; after a
-        # wheel re-enable they can lie inside the current window (even at
-        # the cursor's own tick), so sweep them in before looking around.
-        if heap and heap[0][0] < horizon:
-            while heap and heap[0][0] < horizon:
-                entry = heappop(heap)
-                tick = int(entry[0] * inv)
-                if tick == cursor:
-                    heapq.heappush(slots[tick & mask], entry)
-                else:
-                    slots[tick & mask].append(entry)
-                    self._wheel_count += 1
-            active = slots[cursor & mask]
-            if active:
-                return active
-        if self._wheel_count == 0:
-            if not heap:
-                return None
-            next_tick = int(heap[0][0] * inv)
-        else:
-            # Bounded by the wheel size: a non-empty wheel holds a tick in
-            # (cursor, cursor + wheel_slots), each in a distinct bucket.
-            probe = cursor + 1
-            while not slots[probe & mask]:
-                probe += 1
-            next_tick = probe
-        if next_tick * self._wheel_width > limit:
-            return _BEYOND
-        self._cursor = next_tick
-        active = slots[next_tick & mask]
-        # The activated bucket becomes the cursor bucket: its entries leave
-        # the non-cursor count now, and the drain loop pops them without
-        # touching any counter.
-        self._wheel_count -= len(active)
-        horizon = self._horizon = (next_tick + self._wheel_size) \
-            * self._wheel_width
-        while heap and heap[0][0] < horizon:
-            entry = heappop(heap)
-            tick = int(entry[0] * inv)
-            if tick == next_tick:
-                active.append(entry)
-            else:
-                slots[tick & mask].append(entry)
-                self._wheel_count += 1
-        active.sort()
-        return active
-
-    def _reanchor(self) -> None:
-        """Re-align the (empty) wheel with the clock so future inserts can
-        never land in a bucket behind the cursor."""
-        self._cursor = int(self.clock._now * self._wheel_inv)
-        self._horizon = (self._cursor + self._wheel_size) * self._wheel_width
-
-    def _peek_time(self) -> Optional[float]:
-        """Timestamp of the earliest queued entry (cancelled included), or
-        ``None`` when nothing is queued.  Does not advance the cursor —
-        used by the ``max_events`` stop to mirror the heap loop's clock
-        semantics without committing a bucket activation."""
-        best = self._heap[0][0] if self._heap else None
-        cursor_slot = self._slots[self._cursor & self._wheel_mask]
-        if cursor_slot:
-            # The cursor bucket is heap-ordered, so its head is its minimum.
-            earliest = cursor_slot[0][0]
-            if best is None or earliest < best:
-                best = earliest
-        elif self._wheel_count:
-            slots = self._slots
-            mask = self._wheel_mask
-            probe = self._cursor + 1
-            while not slots[probe & mask]:
-                probe += 1
-            earliest = min(slots[probe & mask])[0]
-            if best is None or earliest < best:
-                best = earliest
-        return best
+        """O(n) audit of ``pending(live_only=True)``: count the queued
+        callbacks that will actually execute.  Test/debug only — the run
+        loop never calls this."""
+        return sum(1 for entry in self._heap
+                   if entry[5] is None or not entry[5].cancelled)
 
     # -- execution ---------------------------------------------------------
     def step(self) -> bool:
         """Run the next pending event.
 
-        A batch entry executes as a unit: all its callbacks run (each
-        counted and traced individually) before ``step`` returns.
-
         Returns:
             True if an event was executed, False if the queue was empty.
         """
-        if not self._wheel_enabled:
-            return self._step_heap()
-        while True:
-            active = self._slots[self._cursor & self._wheel_mask]
-            if not active:
-                active = self._next_active(_INFINITY)
-                if active is None:
-                    self._reanchor()
-                    return False
-            entry = heapq.heappop(active)
+        heap = self._heap
+        while heap:
+            entry = heappop(heap)
             marker = entry[5]
-            if marker is not None and marker is not _BATCH:
+            if marker is not None:
                 if marker.cancelled:
                     self._cancelled -= 1
                     continue
@@ -540,36 +223,6 @@ class Scheduler:
                 # perturb the cancelled-entry bookkeeping.
                 marker._scheduler = None
             self.clock.advance_to(entry[0])
-            if marker is _BATCH:
-                self._run_batch(entry)
-                return True
-            self._events_executed += 1
-            self._live -= 1
-            if self._trace is not None:
-                self._trace.append((entry[0], entry[1]))
-            kwargs = entry[4]
-            if kwargs:
-                entry[2](*entry[3], **kwargs)
-            else:
-                entry[2](*entry[3])
-            return True
-
-    def _step_heap(self) -> bool:
-        """Heap-only :meth:`step` (wheel kill-switch off)."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            marker = entry[5]
-            if marker is not None and marker is not _BATCH:
-                if marker.cancelled:
-                    self._cancelled -= 1
-                    continue
-                # Detach: a late cancel() on an already-fired event must not
-                # perturb the cancelled-entry bookkeeping.
-                marker._scheduler = None
-            self.clock.advance_to(entry[0])
-            if marker is _BATCH:
-                self._run_batch(entry)
-                return True
             self._events_executed += 1
             self._live -= 1
             if self._trace is not None:
@@ -582,37 +235,17 @@ class Scheduler:
             return True
         return False
 
-    def _run_batch(self, entry: tuple) -> None:
-        """Drain one batch entry: every callback is its own traced event."""
-        timestamp, first_seq = entry[0], entry[1]
-        calls = entry[3]
-        count = len(calls)
-        trace = self._trace
-        if trace is not None:
-            trace.extend((timestamp, first_seq + i) for i in range(count))
-        self._events_executed += count
-        self._live -= count
-        for fn, args in calls:
-            fn(*args)
-
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run events until the queue drains, ``until`` is reached, or
         ``max_events`` have been executed.
 
         ``until`` is an absolute simulated time; events scheduled strictly
-        after it remain queued and the clock stops at ``until``.  A batch
-        entry whose turn comes with fewer than ``len(batch)`` events of
-        budget left still executes whole (``max_events`` is a runaway
-        guard, not an exact quota).
+        after it remain queued and the clock stops at ``until``.
         """
-        if not self._wheel_enabled:
-            return self._run_heap(until, max_events)
+        heap = self._heap
         clock = self.clock
         trace = self._trace
-        heappop = heapq.heappop
-        slots = self._slots
-        mask = self._wheel_mask
         limit = _INFINITY if until is None else until
         cap = _NO_CAP if max_events is None else max_events
         executed = 0
@@ -626,136 +259,25 @@ class Scheduler:
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                active = slots[self._cursor & mask]
-                if not active:
-                    if executed >= cap:
-                        # The cap stop must not commit a cursor advance (a
-                        # committed-but-undrained bucket would let a later
-                        # insert land behind the cursor), but it still owes
-                        # the caller the heap loop's clock semantics: the
-                        # clock reaches ``until`` when nothing runnable
-                        # remains before it.
-                        if self._wheel_count == 0 and not self._heap:
-                            if until is not None and until > clock._now:
-                                clock.advance_to(until)
-                            self._reanchor()
-                        elif until is not None and until > clock._now:
-                            earliest = self._peek_time()
-                            if earliest is not None and earliest > limit:
-                                clock.advance_to(until)
-                        return
-                    active = self._next_active(limit)
-                    if active is None:
-                        break
-                    if active is _BEYOND:
-                        if until is not None and until > clock._now:
-                            clock.advance_to(until)
-                        return
-                while active:
-                    entry = heappop(active)
-                    timestamp = entry[0]
-                    if timestamp > limit:
-                        heapq.heappush(active, entry)
-                        clock.advance_to(until)
-                        return
-                    if executed >= cap:
-                        heapq.heappush(active, entry)
-                        return
-                    # One marker test covers batch, cancelled, and handle
-                    # entries; the overwhelmingly common plain entry pays a
-                    # single branch.  A cancelled entry pushed back above
-                    # keeps its ``_cancelled`` count until it is finally
-                    # popped in bounds (or a purge removes it).
-                    marker = entry[5]
-                    if marker is not None:
-                        if marker is _BATCH:
-                            clock._now = timestamp
-                            calls = entry[3]
-                            count = len(calls)
-                            if trace is not None:
-                                first_seq = entry[1]
-                                trace.extend((timestamp, first_seq + i)
-                                             for i in range(count))
-                            executed += count
-                            for fn, args in calls:
-                                fn(*args)
-                            continue
-                        if marker.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        # Detach: a late cancel() on an already-fired event
-                        # must not perturb the cancelled-entry bookkeeping.
-                        marker._scheduler = None
-                    # Buckets activate in nondecreasing time order, so this
-                    # direct assignment cannot move the clock backwards
-                    # (Clock.advance_to enforces the same invariant with a
-                    # per-event method call).
-                    clock._now = timestamp
-                    executed += 1
-                    if trace is not None:
-                        trace.append((timestamp, entry[1]))
-                    kwargs = entry[4]
-                    if kwargs:
-                        entry[2](*entry[3], **kwargs)
-                    else:
-                        entry[2](*entry[3])
-            if until is not None and until > clock._now:
-                clock.advance_to(until)
-            # Fully drained: re-align the wheel with wherever the clock
-            # stopped, so the cursor never sits ahead of a future insert.
-            self._reanchor()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-            self._events_executed += executed
-            self._live -= executed
-
-    def _run_heap(self, until: Optional[float] = None,
-                  max_events: Optional[int] = None) -> None:
-        """Heap-only :meth:`run` (wheel kill-switch off)."""
-        heap = self._heap
-        clock = self.clock
-        trace = self._trace
-        pop = heapq.heappop
-        limit = _INFINITY if until is None else until
-        cap = _NO_CAP if max_events is None else max_events
-        executed = 0
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
             while heap:
-                entry = pop(heap)
+                entry = heappop(heap)
                 marker = entry[5]
-                if marker is not None and marker is not _BATCH:
-                    if marker.cancelled:
-                        self._cancelled -= 1
-                        continue
+                if marker is not None and marker.cancelled:
+                    self._cancelled -= 1
+                    continue
                 timestamp = entry[0]
                 if timestamp > limit:
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
                     clock.advance_to(until)
                     return
                 if executed >= cap:
-                    heapq.heappush(heap, entry)
+                    heappush(heap, entry)
                     return
                 # The heap pops in nondecreasing time order, so this direct
                 # assignment cannot move the clock backwards (Clock.advance_to
                 # enforces the same invariant with a per-event method call).
                 clock._now = timestamp
                 if marker is not None:
-                    if marker is _BATCH:
-                        calls = entry[3]
-                        count = len(calls)
-                        if trace is not None:
-                            first_seq = entry[1]
-                            trace.extend((timestamp, first_seq + i)
-                                         for i in range(count))
-                        executed += count
-                        for fn, args in calls:
-                            fn(*args)
-                        continue
                     # Detach: a late cancel() on an already-fired event must
                     # not perturb the cancelled-entry bookkeeping.
                     marker._scheduler = None

@@ -31,19 +31,16 @@ def _sha(parts: Iterable) -> str:
     return digest.hexdigest()
 
 
-def trace_fingerprint(batch_dispatch: bool = True, wheel: bool = True,
-                      fast_path: bool = True, lean_ops: bool = True,
+def trace_fingerprint(fast_path: bool = True, lean_ops: bool = True,
                       lean_toggles: Iterable[float] = (),
                       lean_toggle_noop: bool = False) -> Dict[str, object]:
     """Event-trace + metrics fingerprint of a small closed-loop CC2 run.
 
-    ``batch_dispatch=False`` forces every delivery onto an individual heap
-    entry; ``wheel=False`` routes all scheduling through the classic binary
-    heap; ``fast_path=False`` disables the fused protocol path so every hop
-    is a real :class:`Message`; ``lean_ops=False`` disables the lean op
-    pipeline so every completion rides the response-dict pipeline.  The
-    fingerprint must be identical in every combination — all four are
-    amortizations, never reorderings.  ``lean_toggles`` schedules mid-run
+    ``fast_path=False`` disables the fused protocol path so every hop is a
+    real :class:`Message`; ``lean_ops=False`` disables the lean op pipeline
+    so every completion rides the response-dict pipeline.  The fingerprint
+    must be identical in every combination — both are amortizations, never
+    reorderings.  ``lean_toggles`` schedules mid-run
     flips of the ``protocol.lean_ops`` switch at the given sim times, so
     operations in flight across a flip complete on the pipeline they were
     issued on while later ones take the other; ``lean_toggle_noop=True``
@@ -59,8 +56,6 @@ def trace_fingerprint(batch_dispatch: bool = True, wheel: bool = True,
         seed=11, record_count=60,
         client_regions=(Region.IRL, Region.FRK),
         config=cassandra_config_for("CC2"))
-    scenario.env.scheduler.batch_dispatch = batch_dispatch
-    scenario.env.scheduler.wheel = wheel
     scenario.env.network.fast_path = fast_path
     scenario.env.network.lean_ops = lean_ops
 
@@ -112,21 +107,13 @@ class TestDeterminism:
     def test_event_trace_matches_golden(self):
         assert trace_fingerprint() == _golden()["trace"]
 
-    def test_event_trace_matches_golden_with_batching_off(self):
-        """Per-entry dispatch reproduces the batched trace bit for bit."""
-        assert trace_fingerprint(batch_dispatch=False) == _golden()["trace"]
-
-    def test_event_trace_matches_golden_with_wheel_off(self):
-        """The heap-only scheduler reproduces the timing-wheel trace."""
-        assert trace_fingerprint(wheel=False) == _golden()["trace"]
-
     def test_event_trace_matches_golden_with_fast_path_off(self):
         """The classic message path reproduces the fused trace bit for bit."""
         assert trace_fingerprint(fast_path=False) == _golden()["trace"]
 
     def test_event_trace_matches_golden_all_switches_off(self):
-        assert trace_fingerprint(batch_dispatch=False, wheel=False,
-                                 fast_path=False) == _golden()["trace"]
+        assert trace_fingerprint(fast_path=False, lean_ops=False) == \
+            _golden()["trace"]
 
     def test_event_trace_matches_golden_with_lean_ops_off(self):
         """The response-dict pipeline reproduces the lean-op trace."""
@@ -219,8 +206,8 @@ class TestDeterminism:
     def test_live_counter_matches_scan_under_fused_load(self):
         """The O(1) live counter equals the O(n) queue scan throughout a run.
 
-        Drives the fused closed-loop CC2 load (wheel + fast path on, the
-        shipping defaults) in slices, auditing
+        Drives the fused closed-loop CC2 load (fast path on, the shipping
+        default) in slices, auditing
         ``pending(live_only=True) == _scan_live()`` at every slice boundary
         — while timeouts are being scheduled and cancelled — and again
         after the full drain, where both must reach zero.
@@ -237,7 +224,7 @@ class TestDeterminism:
             client_regions=(Region.IRL, Region.FRK),
             config=cassandra_config_for("CC2"))
         scheduler = scenario.env.scheduler
-        assert scheduler.wheel and scenario.env.network.fast_path
+        assert scenario.env.network.fast_path
         spec = workload_by_name("A")
         runners = [
             ClosedLoopRunner(
@@ -260,48 +247,39 @@ class TestDeterminism:
         assert scheduler._scan_live() == 0
 
     @staticmethod
-    def _forced_switches(wheel: bool = True, fast_path: bool = True,
-                         lean_ops: bool = True):
-        """Context: every Scheduler/Network built inside starts with the
-        given kill-switch settings.  The figure harnesses build their
+    def _forced_switches(fast_path: bool = True, lean_ops: bool = True):
+        """Context: every Network built inside starts with the given
+        kill-switch settings.  The figure harnesses build their
         environments internally, so the switches are applied at
         construction — before any event is scheduled."""
         import contextlib
 
         from repro.sim.network import Network
-        from repro.sim.scheduler import Scheduler
 
         @contextlib.contextmanager
         def forced():
-            scheduler_init = Scheduler.__init__
             network_init = Network.__init__
-
-            def patched_scheduler(self, *args, **kwargs):
-                scheduler_init(self, *args, **kwargs)
-                self.wheel = wheel
 
             def patched_network(self, *args, **kwargs):
                 network_init(self, *args, **kwargs)
                 self.fast_path = fast_path
                 self.lean_ops = lean_ops
 
-            Scheduler.__init__ = patched_scheduler
             Network.__init__ = patched_network
             try:
                 yield
             finally:
-                Scheduler.__init__ = scheduler_init
                 Network.__init__ = network_init
 
         return forced()
 
     def test_fig13_slice_identical_with_switches_off(self):
-        """A fault-injection slice is bit-identical without wheel/fast path.
+        """A fault-injection slice is bit-identical without the fast path.
 
         The golden figure hashes only cover fig06/09/10/12/14/15/16; this pins
         the fault family (replica crash + recovery, client failover,
-        timeout cancellation storms) to the same record under the classic
-        heap scheduler and the unfused message path.
+        timeout cancellation storms) to the same record under the unfused
+        message path.
         """
         from repro.bench.fig13_faults import run_fig13_scenario
 
@@ -309,9 +287,7 @@ class TestDeterminism:
                       duration_ms=6_000.0, warmup_ms=1_500.0,
                       cooldown_ms=500.0, record_count=150)
         reference = run_fig13_scenario("replica-crash", **kwargs)
-        with self._forced_switches(wheel=False, fast_path=True):
-            assert run_fig13_scenario("replica-crash", **kwargs) == reference
-        with self._forced_switches(wheel=True, fast_path=False):
+        with self._forced_switches(fast_path=False):
             assert run_fig13_scenario("replica-crash", **kwargs) == reference
 
     def test_fig13_fault_slice_identical_with_lean_ops_forced(self):
@@ -400,8 +376,7 @@ class TestDeterminism:
         """A 2PC coordinator-failover cell is invariant to the fast paths.
 
         Transactions exercise the one code path the closed-loop figures do
-        not: long decision timeouts parked on the overflow ring, then
-        cancelled en masse at failover.  Record and executed-event count
+        not: long decision timeouts, cancelled en masse at failover.  Record and executed-event count
         must both match with every switch off.
         """
         from repro.bench.fig16_txn import run_fig16_cell
@@ -412,7 +387,7 @@ class TestDeterminism:
                       fault_at_ms=2_500.0, fault_duration_ms=2_500.0,
                       decision_log_ms=2.0, record_count=120, seed=42)
         reference, reference_env = run_fig16_cell(**kwargs)
-        with self._forced_switches(wheel=False, fast_path=False):
+        with self._forced_switches(fast_path=False, lean_ops=False):
             record, env = run_fig16_cell(**kwargs)
         assert record == reference
         assert env.scheduler.events_executed == \

@@ -1,7 +1,7 @@
 """Tests for the simulated clock and event scheduler."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sim.clock import Clock
 from repro.sim.scheduler import Scheduler
@@ -256,21 +256,21 @@ class TestCancellationBookkeeping:
 
 
 class TestTimingWheel:
-    """Edge cases of the timing-wheel backend (overflow ring, cancellation
-    inside buckets, kill-switch transitions).  Every test cross-checks the
-    O(1) live counter against the O(n) :meth:`Scheduler._scan_live` audit."""
+    """Far-future ordering and cancel-before-run cases first written for the
+    timing-wheel backend, kept under their original names.  They now run on
+    the single heap: every entry, near or far, sits in ``_heap``.  Every test
+    cross-checks the O(1) live counter against the O(n)
+    :meth:`Scheduler._scan_live` audit."""
 
     def audit(self, scheduler):
         assert scheduler.pending(live_only=True) == scheduler._scan_live()
 
     def test_overflow_heap_migrates_into_wheel(self, scheduler):
-        # Horizon is 1024 slots x 1 ms: 1500/2500/5000 ms start on the
-        # overflow heap, 100/900 ms in wheel buckets.
+        # Timestamps from 100 ms to 5 s; all of them share the one heap.
         order = []
         for delay in (2500.0, 100.0, 5000.0, 900.0, 1500.0):
             scheduler.schedule(delay, order.append, delay)
-        assert len(scheduler._heap) == 3
-        assert scheduler._wheel_count == 2
+        assert len(scheduler._heap) == 5
         self.audit(scheduler)
         scheduler.run_until_idle()
         assert order == [100.0, 900.0, 1500.0, 2500.0, 5000.0]
@@ -278,8 +278,7 @@ class TestTimingWheel:
         self.audit(scheduler)
 
     def test_overflow_migration_across_many_horizons(self, scheduler):
-        # Timestamps spread over ~6 wheel horizons force repeated lazy
-        # migration sweeps; interleaved near events keep the cursor moving.
+        # Timestamps spread over ~6 s of simulated time run in time order.
         observed = []
         delays = [float(i * 613 % 6000) + 0.25 for i in range(64)]
         for delay in delays:
@@ -290,20 +289,12 @@ class TestTimingWheel:
         assert len(observed) == len(delays)
         self.audit(scheduler)
 
-    def test_same_tick_submission_order_after_migration(self, scheduler):
-        # Two entries at the same far-future instant arrive via the overflow
-        # heap; migration must preserve (time, seq) submission order.
-        order = []
-        scheduler.schedule(3000.0, order.append, "first")
-        scheduler.schedule(3000.0, order.append, "second")
-        scheduler.run_until_idle()
-        assert order == ["first", "second"]
-
     def test_cancel_inside_noncursor_bucket(self, scheduler):
+        # Cancel one of two events queued for the same future instant.
         seen = []
-        keep = scheduler.schedule(700.0, seen.append, "keep")
+        scheduler.schedule(700.0, seen.append, "keep")
         drop = scheduler.schedule(700.0, seen.append, "drop")
-        assert scheduler._wheel_count == 2
+        assert len(scheduler._heap) == 2
         drop.cancel()
         assert scheduler.pending(live_only=True) == 1
         self.audit(scheduler)
@@ -321,12 +312,27 @@ class TestTimingWheel:
         assert seen == ["live"]
         assert scheduler.events_executed == 1
 
-    def test_mass_cancel_purges_wheel_buckets(self, scheduler):
-        # All 2000 events live in wheel buckets (within the horizon); the
-        # lazy purge must compact the buckets themselves, not just the heap.
+
+class TestQueueEdgeCases:
+    """Same-instant ties at a far-future time, mass-cancel purges and inserts
+    after a bounded run.  Every test
+    cross-checks the O(1) live counter against the O(n)
+    :meth:`Scheduler._scan_live` audit."""
+
+    def audit(self, scheduler):
+        assert scheduler.pending(live_only=True) == scheduler._scan_live()
+
+    def test_same_instant_far_future_events_run_fifo(self, scheduler):
+        order = []
+        scheduler.schedule(3000.0, order.append, "first")
+        scheduler.schedule_call_at(3000.0, order.append, ("second",))
+        scheduler.schedule_at(3000.0, order.append, "third")
+        scheduler.run_until_idle()
+        assert order == ["first", "second", "third"]
+
+    def test_mass_cancel_purge_matches_scan(self, scheduler):
         events = [scheduler.schedule(float(i % 1000) + 1.5, lambda: None)
                   for i in range(2000)]
-        assert scheduler._wheel_count == 2000
         for event in events[:1500]:
             event.cancel()
         assert scheduler.pending() < 2000
@@ -335,49 +341,9 @@ class TestTimingWheel:
         scheduler.run_until_idle()
         assert scheduler.events_executed == 500
 
-    def test_wheel_off_dumps_buckets_then_on_reanchors(self, scheduler):
-        order = []
-        scheduler.schedule(50.0, order.append, "wheel")
-        scheduler.schedule(2000.0, order.append, "overflow")
-        scheduler.wheel = False
-        # The dump moved every bucketed entry to the heap; accounting and
-        # execution order are unchanged.
-        assert scheduler._wheel_count == 0
-        assert len(scheduler._heap) == 2
-        self.audit(scheduler)
-        scheduler.run(until=100.0)
-        assert order == ["wheel"]
-        scheduler.wheel = True
-        scheduler.schedule(10.0, order.append, "late-wheel")
-        self.audit(scheduler)
-        scheduler.run_until_idle()
-        assert order == ["wheel", "late-wheel", "overflow"]
-        assert scheduler.events_executed == 3
-
-    def test_wheel_toggle_matches_heap_trace(self):
-        # The same schedule executes in the same (time, seq) order with the
-        # wheel on, off, and toggled mid-run.
-        def load(scheduler):
-            for i in range(200):
-                scheduler.schedule(float(i * 37 % 1500) + 0.5, lambda: None)
-
-        def trace_with(toggle):
-            scheduler = Scheduler()
-            trace = scheduler.start_trace()
-            load(scheduler)
-            if toggle == "off":
-                scheduler.wheel = False
-            scheduler.run(until=750.0)
-            if toggle == "mid":
-                scheduler.wheel = False
-            scheduler.run_until_idle()
-            return trace
-
-        assert trace_with("on") == trace_with("off") == trace_with("mid")
-
-    def test_run_until_leaves_cursor_consistent(self, scheduler):
-        # Stopping at an `until` bound inside the horizon must keep the
-        # insert invariant: a new earlier-but-future event still runs first.
+    def test_run_until_then_earlier_insert(self, scheduler):
+        # An event inserted after a bounded run, earlier than what is still
+        # queued, runs first.
         seen = []
         scheduler.schedule(500.0, seen.append, "far")
         scheduler.run(until=200.0)
@@ -386,6 +352,16 @@ class TestTimingWheel:
         self.audit(scheduler)
         scheduler.run_until_idle()
         assert seen == ["near", "far"]
+
+
+class TestSwitchConstants:
+    def test_removed_switches_read_false_and_are_read_only(self, scheduler):
+        assert scheduler.wheel is False
+        assert scheduler.batch_dispatch is False
+        with pytest.raises(AttributeError):
+            scheduler.wheel = True
+        with pytest.raises(AttributeError):
+            scheduler.batch_dispatch = True
 
 
 class TestTrace:
@@ -417,3 +393,174 @@ def test_execution_times_are_monotone(delays):
     assert observed == sorted(observed)
     assert len(observed) == len(delays)
     assert scheduler.now() == max(delays)
+
+
+# -- model-based check -------------------------------------------------------
+#
+# A reference model of the queue: a list of [time, id, cancelled, child]
+# entries kept sorted by (time, id), driven side by side with a real
+# Scheduler (ids number events in creation order, as the scheduler's
+# sequence numbers do; an event with a child delay schedules one more event
+# when it runs).  The model spells out the documented semantics: FIFO among
+# same-instant events, cancelled entries dropped when they reach the head,
+# ``run(until=...)`` parking the clock at ``until``, ``max_events`` leaving
+# the clock where the last event ran, and the lazy purge of cancelled
+# entries once at least _PURGE_THRESHOLD are queued and they make up more
+# than half the queue.
+
+#: Half-millisecond offsets make same-instant ties common.
+_offsets = st.integers(min_value=0, max_value=40).map(lambda n: n * 0.5)
+_children = st.none() | _offsets
+_model_ops = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["schedule", "schedule_at", "schedule_call",
+                                   "schedule_call_at"]),
+                  _offsets, _children),
+        st.tuples(st.just("burst"), st.integers(1, 400),
+                  st.integers(1, 60)),
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        st.tuples(st.just("cancel_stride"), st.integers(0, 3),
+                  st.integers(1, 3)),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("run_until"), _offsets),
+        st.tuples(st.just("run_max"), st.integers(0, 40)),
+    ),
+    max_size=40)
+
+
+def _check_against_model(ops) -> int:
+    """Drive ``ops`` against a Scheduler and the reference model, asserting
+    agreement after every op; returns how many purges the model made."""
+    from bisect import insort
+    from itertools import count
+
+    from repro.sim.scheduler import _PURGE_THRESHOLD
+
+    scheduler = Scheduler()
+    executed = []         # event ids in the scheduler's execution order
+    expected = []         # event ids in the model's execution order
+    queue = []            # model entries [time, id, cancelled, child], sorted
+    queued = set()        # ids of the entries still in ``queue``
+    handles = []          # (model entry, Event) of cancellable events
+    model = {"now": 0.0, "cancelled": 0, "purges": 0}
+    real_ids = count()    # both sides number events in creation order
+    model_ids = count()
+
+    def fire(event_id, child):
+        executed.append(event_id)
+        if child is not None:
+            scheduler.schedule_call(child, fire, (next(real_ids), None))
+
+    def model_add(at, child):
+        entry = [at, next(model_ids), False, child]
+        insort(queue, entry)
+        queued.add(entry[1])
+        return entry
+
+    def add(kind, offset, child):
+        at = model["now"] + offset
+        entry = model_add(at, child)
+        args = (next(real_ids), child)
+        if kind == "schedule":
+            handles.append((entry, scheduler.schedule(offset, fire, *args)))
+        elif kind == "schedule_at":
+            handles.append((entry, scheduler.schedule_at(at, fire, *args)))
+        elif kind == "schedule_call":
+            scheduler.schedule_call(offset, fire, args)
+        else:
+            scheduler.schedule_call_at(at, fire, args)
+
+    def cancel(entry, event):
+        event.cancel()
+        if entry[1] in queued and not entry[2]:
+            entry[2] = True
+            model["cancelled"] += 1
+            if (model["cancelled"] >= _PURGE_THRESHOLD
+                    and model["cancelled"] * 2 > len(queue)):
+                for dead in queue:
+                    if dead[2]:
+                        queued.discard(dead[1])
+                queue[:] = [e for e in queue if not e[2]]
+                model["cancelled"] = 0
+                model["purges"] += 1
+
+    def head():
+        """Drop cancelled entries off the head; the first live one or None."""
+        while queue and queue[0][2]:
+            queued.discard(queue.pop(0)[1])
+            model["cancelled"] -= 1
+        return queue[0] if queue else None
+
+    def execute():
+        entry = queue.pop(0)
+        queued.discard(entry[1])
+        model["now"] = entry[0]
+        expected.append(entry[1])
+        if entry[3] is not None:
+            model_add(model["now"] + entry[3], None)
+
+    def run(until=None, cap=None):
+        done = 0
+        while head() is not None:
+            if until is not None and queue[0][0] > until:
+                model["now"] = until
+                return
+            if cap is not None and done >= cap:
+                return
+            execute()
+            done += 1
+        if until is not None and until > model["now"]:
+            model["now"] = until
+
+    for op in ops:
+        name = op[0]
+        if name.startswith("schedule"):
+            add(name, op[1], op[2])
+        elif name == "burst":
+            for i in range(op[1]):
+                add("schedule", (i * 7 % op[2]) * 0.5, None)
+        elif name == "cancel":
+            if handles:
+                cancel(*handles[op[1] % len(handles)])
+        elif name == "cancel_stride":
+            for entry, event in handles[op[1]::op[2]]:
+                cancel(entry, event)
+        elif name == "step":
+            expect_ran = head() is not None
+            assert scheduler.step() is expect_ran
+            if expect_ran:
+                execute()
+        elif name == "run_until":
+            until = model["now"] + op[1]
+            scheduler.run(until=until)
+            run(until=until)
+        else:
+            scheduler.run(max_events=op[1])
+            run(cap=op[1])
+        assert executed == expected
+        assert scheduler.now() == model["now"]
+        live = len(queue) - model["cancelled"]
+        assert scheduler.pending() == len(queue)
+        assert scheduler.pending(live_only=True) == live
+        assert scheduler._scan_live() == live
+    return model["purges"]
+
+
+#: Two bursts of handle events, then cancels of all but every third one:
+#: enough cancellations to cross the purge threshold mid-sequence.
+_PURGE_CROSSING_OPS = [
+    ("burst", 400, 60), ("schedule_call", 2.0, 1.5), ("burst", 400, 37),
+    ("cancel_stride", 0, 3), ("cancel_stride", 1, 3), ("run_until", 3.0),
+    ("run_max", 5), ("step",), ("cancel", 17), ("run_until", 20.0),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@example(ops=_PURGE_CROSSING_OPS)
+@given(ops=_model_ops)
+def test_scheduler_matches_sorted_reference_model(ops):
+    _check_against_model(ops)
+
+
+def test_reference_model_sequence_crosses_purge_threshold():
+    assert _check_against_model(_PURGE_CROSSING_OPS) >= 1
