@@ -13,8 +13,6 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.cassandra_sim.client import CassandraClient
 from repro.cassandra_sim.config import CassandraConfig
-from repro.cassandra_sim.coordinator import FusedRead, FusedWrite
-from repro.sim.network import MESSAGE_HEADER_BYTES, estimate_payload_size
 from repro.core.cluster_spec import REMOTE_CONTACTS, BuiltCluster, ClusterSpec
 from repro.sim.topology import Region, replica_regions_default
 from repro.workloads.records import Dataset
@@ -185,67 +183,22 @@ def make_kv_issue(client: CassandraClient, system: str,
         client.read(key, r=read_quorum, icg=True,
                     on_preliminary=op.on_preliminary, on_final=op.on_final)
 
-    network = client.network
-    config = client.config
-    contacts = client._contacts
-    clock = client.scheduler.clock
-    base_size = MESSAGE_HEADER_BYTES + config.key_size_bytes
-    # Config timeouts / read repair are fixed at cluster construction, so
-    # that half of the lean gate is decided once here; only the switches
-    # that can change mid-run stay in the per-op check below.
-    lean_static = (config.client_timeout_ms <= 0
-                   and config.read_timeout_ms <= 0
-                   and config.write_timeout_ms <= 0
-                   and not config.read_repair)
+    fused_ready = client.fused_ready
+    fused_read = client.fused_read
+    fused_write = client.fused_write
 
     def _lean(op_type: str, key: str, value: Optional[str], sink) -> bool:
         # The lean op pipeline (``protocol.lean_ops``): deliver positionally
         # to the runner's per-thread sink, skipping the response/info dicts
         # and the per-op closures above.  Gated per operation so a mid-run
         # switch flip or a fault configuration falls back to ``_issue``.
-        # The gate (lean_ready) and the client's lean_read/lean_write are
-        # inlined — this is the per-op entry of the fused issue loop.
-        if not (lean_static and network.lean_ops and network.fast_path
-                and len(contacts) == 1):
+        if not fused_ready(True):
             return False
-        coordinator = client._fused_coordinator
-        if coordinator is None:
-            coordinator = client._fused_contact()
-        next(client._req_ids)
         if op_type == "update":
-            client.writes_sent += 1
-            rec = FusedWrite.acquire()
-            rec.client = client
-            rec.coordinator = coordinator
-            rec.key = key
-            rec.value = value
-            rec.version = None
-            rec.w = write_quorum
-            rec.sent_at = clock._now
-            rec.on_final = None
-            rec.lean = sink
-            network.fused_send_to(
-                client, coordinator.name,
-                base_size + (len(value)
-                             if type(value) is str and value.isascii()
-                             else estimate_payload_size(value)),
-                coordinator._fused_client_write, rec.args)
+            fused_write(key, value, write_quorum, sink=sink)
         else:
-            client.reads_sent += 1
             sink._lean_icg = icg
-            rec = FusedRead.acquire()
-            rec.client = client
-            rec.coordinator = coordinator
-            rec.key = key
-            rec.r = read_quorum
-            rec.icg = icg
-            rec.sent_at = clock._now
-            rec.on_preliminary = None
-            rec.on_final = None
-            rec.lean = sink
-            network.fused_send_to(
-                client, coordinator.name, base_size + 8,
-                coordinator._fused_client_read, rec.args)
+            fused_read(key, read_quorum, icg, sink=sink)
         return True
 
     _issue.lean = _lean

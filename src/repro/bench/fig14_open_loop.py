@@ -182,28 +182,12 @@ def make_session_issue(pools: Sequence[SessionPool],
             on_update=_on_update, on_final=_on_final,
             on_error=lambda exc: done({"failed": True}))
 
-    # Lean gate, static half: every pool must run over a binding exposing
-    # the lean storage protocol (Cassandra's fused path) with the fault
-    # machinery disarmed, all on one shared network.  Fixed at cluster
-    # construction, so it is decided once here; the ``protocol.lean_ops``
-    # kill-switch and fast-path flag can flip mid-run and stay in the
-    # per-operation check below.
-    storages = []
-    for pool in pools:
-        binding = getattr(pool.client, "binding", None)
-        storage = getattr(binding, "client", None)
-        config = getattr(storage, "config", None)
-        if (config is None or not hasattr(storage, "lean_read")
-                or len(storage._contacts) != 1
-                or config.client_timeout_ms > 0
-                or config.read_timeout_ms > 0
-                or config.write_timeout_ms > 0 or config.read_repair):
-            storages = []
-            break
-        storages.append(storage)
-    lean_static = bool(storages) and len(
-        {id(storage.network) for storage in storages}) == 1
-    network = storages[0].network if lean_static else None
+    # The lean op pipeline needs Cassandra's fused storage protocol: over
+    # any other binding every operation falls back to ``_issue``.
+    bindings = [pool.client.binding for pool in pools]
+    storages: Optional[List[Any]] = None
+    if all(isinstance(binding, CassandraBinding) for binding in bindings):
+        storages = [binding.client for binding in bindings]
 
     def _lean(op_type: str, key: str, value: Optional[str], sink: Any,
               session_id: Optional[int] = None) -> bool:
@@ -213,26 +197,28 @@ def make_session_issue(pools: Sequence[SessionPool],
         # positionally into the runner's pooled sink, skipping the
         # Correctable, its View objects, and the per-op closures/dicts.
         # Returns False (with no side effects) to fall back to ``_issue``.
-        if not (lean_static and network.lean_ops and network.fast_path):
+        if storages is None:
+            return False
+        sid = rotation["next"] if session_id is None else session_id
+        index = sid % len(pools)
+        storage = storages[index]
+        if not storage.fused_ready(True):
             return False
         if session_id is None:
-            session_id = rotation["next"]
-            rotation["next"] = (rotation["next"] + 1) % total_sessions
-        pool = pools[session_id % len(pools)]
-        session = pool.session(session_id // len(pools))
+            rotation["next"] = (sid + 1) % total_sessions
+        session = pools[index].session(sid // len(pools))
         client = session.client
         binding = client.binding
         session.invocations += 1
         client.invocations += 1
         if op_type == "update":
             client.strong_invocations += 1
-            binding.client.lean_write(key, value, w=binding.write_quorum,
-                                      sink=sink)
+            storage.fused_write(key, value, binding.write_quorum, sink=sink)
         else:
             client.icg_invocations += 1
             sink._lean_icg = True
-            binding.client.lean_read(key, r=binding.strong_read_quorum,
-                                     icg=True, sink=sink)
+            storage.fused_read(key, binding.strong_read_quorum, True,
+                               sink=sink)
         return True
 
     _issue.lean = _lean

@@ -56,26 +56,11 @@ class Binding(abc.ABC):
         """Whether this binding offers ``level``."""
         return level in self.consistency_levels()
 
-    # -- lean op pipeline (optional) -----------------------------------------
-    # A binding may implement the ``protocol.lean_ops`` fast path: the client
-    # then completes operations through a pooled
-    # :class:`repro.core.correctable.LeanCorrectable` instead of the
-    # callback/metadata pipeline.  Both hooks are re-checked per operation,
-    # so a mid-run kill-switch flip falls back to ``submit_operation``.
-
-    def lean_ok(self) -> bool:
-        """Whether operations submitted *now* may take the lean pipeline."""
-        return False
-
-    def submit_lean(self, operation: Operation,
-                    levels: List[ConsistencyLevel], lean) -> bool:
-        """Issue ``operation`` completing into the ``lean`` sink.
-
-        Returns False when this particular operation/level combination has
-        no lean mapping (the caller then routes it through
-        :meth:`submit_operation`); must have no side effects in that case.
-        """
-        return False
+    # A load harness that wants only final latencies, not views, does not
+    # go through a binding: it issues straight into the storage client's
+    # fused path (``CassandraClient.fused_ready`` / ``fused_read`` /
+    # ``fused_write`` with a sink), so the binding API stays the two
+    # methods above.
 
     # -- shared level/operation validation ----------------------------------
     # Every concrete binding used to hand-roll these checks; they live here

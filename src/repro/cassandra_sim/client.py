@@ -24,6 +24,15 @@ from repro.sim.node import Node
 ResponseCallback = Callable[[Dict[str, Any]], None]
 
 
+def _value_bytes(value: Any) -> int:
+    # A YCSB update writes a single field, so a write request is sized by
+    # the written payload (reads, in contrast, return the whole record and
+    # are sized by the replica using ``config.value_size_bytes`` as a floor).
+    if type(value) is str and value.isascii():
+        return len(value)
+    return estimate_payload_size(value)
+
+
 @dataclass(slots=True)
 class _PendingRequest:
     kind: str
@@ -82,16 +91,21 @@ class CassandraClient(FailoverMixin, Node):
         self._fused_write_error = self._fused_write_error
 
     # -- issuing operations -------------------------------------------------
-    def _fused_eligible(self) -> bool:
-        """Whether operations issued now may take the fused fast path.
+    def fused_ready(self, lean: bool = False) -> bool:
+        """Whether an operation issued now may take the fused fast path.
 
         Fused operations carry no timeout/failover machinery, so the gate
         requires every fault hook to be disarmed: a single contact (no
         rotation), all timeouts off, and no read repair.  Scenarios that arm
-        any of these run the classic message path end to end.
+        any of these run the classic message path end to end.  ``lean=True``
+        asks for the lean op pipeline (``protocol.lean_ops``), which also
+        needs that switch on.  Checked per issued operation, so a mid-run
+        switch flip routes later operations back to the classic path.
         """
+        network = self.network
         config = self.config
-        return (self.network.fast_path and len(self._contacts) == 1
+        return (network.fast_path and (network.lean_ops or not lean)
+                and len(self._contacts) == 1
                 and config.client_timeout_ms <= 0
                 and config.read_timeout_ms <= 0
                 and config.write_timeout_ms <= 0
@@ -104,30 +118,23 @@ class CassandraClient(FailoverMixin, Node):
             self._fused_coordinator = coordinator
         return coordinator
 
-    # -- lean op pipeline -----------------------------------------------------
-    # ``protocol.lean_ops``: completions are delivered *positionally* to a
-    # pooled sink object instead of through per-op response dicts.  A sink
-    # implements ``deliver_read_preliminary(value, timestamp, latency_ms)``,
+    # The fused issue path (the caller checked :meth:`fused_ready`).  A
+    # fused operation completes either through the response-dict callbacks
+    # or, on the lean op pipeline, *positionally* into a pooled ``sink``
+    # with no per-op dicts.  A sink implements
+    # ``deliver_read_preliminary(value, timestamp, latency_ms)``,
     # ``deliver_read_final(value, timestamp, latency_ms, is_confirmation)``,
     # ``deliver_read_error(error, latency_ms)``,
     # ``deliver_write_ack(timestamp, latency_ms)`` and
     # ``deliver_write_error(error, latency_ms)``.  Latencies, byte sizes,
-    # counters, and the (time, seq) event order are identical to the dict
-    # pipeline — only the Python allocations differ.
+    # counters, and the (time, seq) event order are identical either way.
 
-    def lean_ready(self) -> bool:
-        """Whether operations issued now may take the lean pipeline.
-
-        The ``protocol.lean_ops`` kill-switch plus the fused-path gate:
-        checked per issued operation, so a mid-run flip or a fault
-        configuration (timeouts, fallback contacts, read repair) routes
-        subsequent operations back to the classic dict pipeline.
-        """
-        return self.network.lean_ops and self._fused_eligible()
-
-    def lean_read(self, key: str, r: int, icg: bool, sink: Any) -> None:
-        """Fused read delivering to ``sink`` (caller checked lean_ready)."""
-        next(self._req_ids)
+    def fused_read(self, key: str, r: int, icg: bool,
+                   on_preliminary: Optional[ResponseCallback] = None,
+                   on_final: Optional[ResponseCallback] = None,
+                   sink: Any = None) -> int:
+        """Issue a read on the fused path; returns the request id."""
+        req_id = next(self._req_ids)
         self.reads_sent += 1
         coordinator = self._fused_coordinator
         if coordinator is None:
@@ -139,22 +146,21 @@ class CassandraClient(FailoverMixin, Node):
         rec.r = r
         rec.icg = icg
         rec.sent_at = self.scheduler.clock._now
-        rec.on_preliminary = None
-        rec.on_final = None
+        rec.on_preliminary = on_preliminary
+        rec.on_final = on_final
         rec.lean = sink
         self.network.fused_send_to(
             self, coordinator.name,
             MESSAGE_HEADER_BYTES + self.config.key_size_bytes + 8,
             coordinator._fused_client_read, rec.args)
+        return req_id
 
-    def lean_write(self, key: str, value: Any, w: int, sink: Any) -> None:
-        """Fused write delivering to ``sink`` (caller checked lean_ready)."""
-        next(self._req_ids)
+    def fused_write(self, key: str, value: Any, w: int,
+                    on_final: Optional[ResponseCallback] = None,
+                    sink: Any = None) -> int:
+        """Issue a write on the fused path; returns the request id."""
+        req_id = next(self._req_ids)
         self.writes_sent += 1
-        if type(value) is str and value.isascii():
-            value_bytes = len(value)
-        else:
-            value_bytes = estimate_payload_size(value)
         coordinator = self._fused_coordinator
         if coordinator is None:
             coordinator = self._fused_contact()
@@ -166,43 +172,23 @@ class CassandraClient(FailoverMixin, Node):
         rec.version = None
         rec.w = w
         rec.sent_at = self.scheduler.clock._now
-        rec.on_final = None
+        rec.on_final = on_final
         rec.lean = sink
         self.network.fused_send_to(
             self, coordinator.name,
-            MESSAGE_HEADER_BYTES + self.config.key_size_bytes + value_bytes,
+            (MESSAGE_HEADER_BYTES + self.config.key_size_bytes
+             + _value_bytes(value)),
             coordinator._fused_client_write, rec.args)
+        return req_id
 
     def read(self, key: str, r: int = 1, icg: bool = False,
              on_preliminary: Optional[ResponseCallback] = None,
              on_final: Optional[ResponseCallback] = None) -> int:
         """Issue a read with read-quorum ``r``; returns the request id."""
+        if self.fused_ready():
+            return self.fused_read(key, r, icg, on_preliminary, on_final)
         req_id = next(self._req_ids)
         self.reads_sent += 1
-        config = self.config
-        network = self.network
-        # _fused_eligible, inlined: this gate runs once per operation.
-        if (network.fast_path and len(self._contacts) == 1
-                and config.client_timeout_ms <= 0
-                and config.read_timeout_ms <= 0
-                and config.write_timeout_ms <= 0 and not config.read_repair):
-            coordinator = self._fused_coordinator
-            if coordinator is None:
-                coordinator = self._fused_contact()
-            rec = FusedRead.acquire()
-            rec.client = self
-            rec.coordinator = coordinator
-            rec.key = key
-            rec.r = r
-            rec.icg = icg
-            rec.sent_at = self.scheduler.clock._now
-            rec.on_preliminary = on_preliminary
-            rec.on_final = on_final
-            network.fused_send_to(
-                self, coordinator.name,
-                MESSAGE_HEADER_BYTES + config.key_size_bytes + 8,
-                coordinator._fused_client_read, rec.args)
-            return req_id
         pending = _PendingRequest(
             kind="read", sent_at=self.scheduler.now(),
             on_preliminary=on_preliminary, on_final=on_final,
@@ -215,45 +201,15 @@ class CassandraClient(FailoverMixin, Node):
     def write(self, key: str, value: Any, w: int = 1,
               on_final: Optional[ResponseCallback] = None) -> int:
         """Issue a write with write-quorum ``w``; returns the request id."""
+        if self.fused_ready():
+            return self.fused_write(key, value, w, on_final)
         req_id = next(self._req_ids)
         self.writes_sent += 1
-        # A YCSB update writes a single field, so the request is sized by the
-        # written payload (reads, in contrast, return the whole record and are
-        # sized by the replica using ``config.value_size_bytes`` as a floor).
-        if type(value) is str and value.isascii():
-            value_bytes = len(value)
-        else:
-            value_bytes = estimate_payload_size(value)
-        config = self.config
-        network = self.network
-        # _fused_eligible, inlined (see read()).
-        if (network.fast_path and len(self._contacts) == 1
-                and config.client_timeout_ms <= 0
-                and config.read_timeout_ms <= 0
-                and config.write_timeout_ms <= 0 and not config.read_repair):
-            coordinator = self._fused_coordinator
-            if coordinator is None:
-                coordinator = self._fused_contact()
-            rec = FusedWrite.acquire()
-            rec.client = self
-            rec.coordinator = coordinator
-            rec.key = key
-            rec.value = value
-            rec.version = None
-            rec.w = w
-            rec.sent_at = self.scheduler.clock._now
-            rec.on_final = on_final
-            network.fused_send_to(
-                self, coordinator.name,
-                (MESSAGE_HEADER_BYTES + config.key_size_bytes
-                 + value_bytes),
-                coordinator._fused_client_write, rec.args)
-            return req_id
         pending = _PendingRequest(
             kind="write", sent_at=self.scheduler.now(), on_final=on_final,
             request={"req_id": req_id, "key": key, "value": value, "w": w},
             size_bytes=(MESSAGE_HEADER_BYTES + self.config.key_size_bytes
-                        + value_bytes))
+                        + _value_bytes(value)))
         self._pending[req_id] = pending
         self._dispatch(pending, "client_write")
         return req_id

@@ -28,14 +28,7 @@ from repro.core.promise import Promise
 from repro.core.views import View
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from typing import Union
-
-    from repro.core.correctable import Correctable, LeanCorrectable
-
-    #: Anything speculation can attach to: a full Correctable or the pooled
-    #: lean flyweight (both expose ``set_callbacks`` and ``_clock``, which
-    #: is the entire surface this module touches).
-    SpeculationSource = Union["Correctable", "LeanCorrectable"]
+    from repro.core.correctable import Correctable
 
 
 @dataclass
@@ -90,17 +83,11 @@ def _as_promise(result: Any) -> Promise:
     return Promise.resolved(result)
 
 
-def attach_speculation(source: "SpeculationSource",
+def attach_speculation(source: "Correctable",
                        speculation_fn: Callable[[Any], Any],
                        abort_fn: Optional[Callable[[Any], None]] = None,
                        stats: Optional[SpeculationStats] = None) -> "Correctable":
-    """Implementation behind :meth:`Correctable.speculate`.
-
-    ``source`` may be a full :class:`Correctable` or a pooled
-    :class:`~repro.core.correctable.LeanCorrectable` — only
-    ``set_callbacks`` (one callback per transition) and ``_clock`` are
-    used, and the derived Correctable is always a full one.
-    """
+    """Implementation behind :meth:`Correctable.speculate`."""
     from repro.core.correctable import Correctable
 
     derived = Correctable(clock=source._clock)
